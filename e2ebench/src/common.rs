@@ -3,7 +3,7 @@
 
 use crate::stats::median;
 use crate::trace::{Layer, Tracer};
-use probgraph::{IntersectionOracle, OracleVisitor, PgConfig, ProbGraphIn, Representation};
+use probgraph::{IntersectionOracle, OracleVisitor, PgConfig, Representation};
 use std::time::{Duration, Instant};
 
 /// Item slots, in round-robin order: slot 0 is the exact baseline, slots
@@ -13,15 +13,12 @@ pub const ITEM_NAMES: [&str; 6] = ["exact", "bf2", "khash", "onehash", "kmv", "h
 pub const ITEMS: usize = ITEM_NAMES.len();
 /// The exact baseline's slot.
 pub const EXACT: u8 = 0;
-/// The Bloom (b = 2) slot — the representation online queries read.
+/// The Bloom (b = 2) slot.
 pub const BF2: u8 = 1;
 /// Storage budget `s` every representation is built under.
 pub const BUDGET: f64 = 0.25;
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUP_REPS: usize = 5;
-/// Distinct online query vertices; a round of row-query ticks runs each
-/// once, so every round's tail covers the same rows.
-pub const QUERIES: usize = 16384;
 /// Pool threads the benchmark runs with (capped by the host).
 pub const THREADS: usize = 2;
 
@@ -76,29 +73,6 @@ impl Rng {
     }
 }
 
-/// `count` vertices drawn with probability proportional to `weight(v)`,
-/// so online queries hit rows as often as edges reference them.
-fn weighted_vertices(
-    n: usize,
-    weight: impl Fn(u32) -> usize,
-    count: usize,
-    rng: &mut Rng,
-) -> Vec<u32> {
-    let mut cum = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for v in 0..n {
-        total += weight(v as u32);
-        cum.push(total);
-    }
-    assert!(total > 0, "no vertex has a non-empty row");
-    (0..count)
-        .map(|_| {
-            let r = rng.below(total);
-            cum.partition_point(|&c| c <= r) as u32
-        })
-        .collect()
-}
-
 /// FNV-1a over 64-bit words: the fingerprint repeated answers are
 /// compared by, bit for bit.
 pub fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -110,11 +84,6 @@ pub fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
         }
     }
     h
-}
-
-/// Fingerprint of a float vector's exact bits.
-pub fn fingerprint_f64s(xs: &[f64]) -> u64 {
-    fingerprint(xs.iter().map(|x| x.to_bits()))
 }
 
 /// `Σ|est_v − exact_v| / Σ exact_v`: the error of per-vertex answers,
@@ -181,15 +150,6 @@ impl Checks {
         }
     }
 
-    /// Counts `attempted` checked operations of which `failed` failed.
-    pub fn count(&mut self, attempted: u64, failed: u64, what: impl FnOnce() -> String) {
-        self.attempted += attempted;
-        self.failed += failed;
-        if failed > 0 && self.failures.len() < 8 {
-            self.failures.push(what());
-        }
-    }
-
     /// Descriptions of the first failures.
     pub fn failures(&self) -> &[String] {
         &self.failures
@@ -215,13 +175,11 @@ pub struct Counts {
     pub stale_rows: u64,
 }
 
-/// One workload: a set-up, its exact and per-representation answers, and
-/// an online tick, all driven by [`run_rounds`].
+/// One workload: a set-up and its exact and per-representation answers,
+/// all driven by [`run_rounds`].
 pub trait Workload {
     /// Rounds between exact answers (exact answers cost the most).
     const EXACT_EVERY: usize;
-    /// Ticks run after each round of answers.
-    const TICKS_PER_ROUND: usize;
 
     /// Computes `item`'s answer once, untimed, and checks it against an
     /// independent reference where one exists. Returns the answer's
@@ -232,6 +190,9 @@ pub trait Workload {
 
     /// What one answer returns.
     type Output;
+
+    /// Untimed preparation run before every timed answer of `item`.
+    fn prepare(&mut self, _item: u8) {}
 
     /// One timed answer of `item`, recording layer spans through `t`.
     fn answer(&mut self, item: u8, t: &mut Tracer) -> Self::Output;
@@ -245,9 +206,9 @@ pub trait Workload {
         want == got
     }
 
-    /// Runs `n` ticks, pushing each one's seconds onto `times`; returns
-    /// how many failed their check.
-    fn ticks(&mut self, t: &mut Tracer, n: usize, times: &mut Vec<f64>) -> u64;
+    /// Moves the seconds of every serving tick run since the last call
+    /// onto `times`; workloads without ticks have none.
+    fn take_ticks(&mut self, _times: &mut Vec<f64>) {}
 
     /// Extra layer probes run only in traced rounds.
     fn probe(&mut self, _t: &mut Tracer) {}
@@ -292,9 +253,9 @@ const ITEM_ROUND_SECONDS: f64 = 0.2;
 /// Runs the reference pass, then round after round until `budget` has
 /// been measured. Each round runs every item in rotated order (the exact
 /// one every `EXACT_EVERY` rounds), each repeated back to back for about
-/// [`ITEM_ROUND_SECONDS`], then `TICKS_PER_ROUND` ticks. With `trace`,
-/// odd rounds are traced and even rounds are not, so both see the same
-/// phases of the host.
+/// [`ITEM_ROUND_SECONDS`]. With `trace`, every other pair of
+/// `EXACT_EVERY` rounds is traced, so traced and untraced rounds see the
+/// same phases of the host and both include exact answers.
 pub fn run_rounds<W: Workload>(
     w: &mut W,
     t: &mut Tracer,
@@ -304,6 +265,7 @@ pub fn run_rounds<W: Workload>(
 ) -> Samples {
     const MIN_ROUNDS: usize = 4;
     const HARD_CAP: Duration = Duration::from_secs(120);
+    let min_rounds = MIN_ROUNDS.max(2 * W::EXACT_EVERY);
     let mut s = Samples::default();
     let mut expected = [0u64; ITEMS];
     // Round 0 runs every item once; its times size the later repeats.
@@ -314,11 +276,11 @@ pub fn run_rounds<W: Workload>(
         expected[item as usize] = fp;
         s.errs[item as usize] = err;
     }
+    w.take_ticks(&mut Vec::new());
     let start = Instant::now();
     let mut round = 0usize;
-    let mut ticks = Vec::with_capacity(W::TICKS_PER_ROUND);
-    while (round < MIN_ROUNDS || start.elapsed() < budget) && start.elapsed() < HARD_CAP {
-        let traced = trace && round % 2 == 1;
+    while (round < min_rounds || start.elapsed() < budget) && start.elapsed() < HARD_CAP {
+        let traced = trace && (round / W::EXACT_EVERY) % 2 == 1;
         t.set_enabled(traced);
         t.round = round as u32;
         for k in 0..ITEMS {
@@ -327,17 +289,19 @@ pub fn run_rounds<W: Workload>(
                 continue;
             }
             for _ in 0..repeats[item as usize] {
+                w.prepare(item);
                 let t0 = Instant::now();
                 let out = t.span(Layer::Answer, item, |t| w.answer(item, t));
                 let dt = t0.elapsed().as_secs_f64();
                 let fp = W::fingerprint(&out);
                 drop(out);
-                let out = if traced {
-                    &mut s.traced_answers
+                let (answers, ticks) = if traced {
+                    (&mut s.traced_answers, &mut s.traced_ticks)
                 } else {
-                    &mut s.answers
+                    (&mut s.answers, &mut s.ticks)
                 };
-                out[item as usize].push(dt);
+                answers[item as usize].push(dt);
+                w.take_ticks(ticks);
                 checks.check(w.same(item, expected[item as usize], fp), || {
                     format!(
                         "{} answer in round {round} differs from its first",
@@ -346,11 +310,6 @@ pub fn run_rounds<W: Workload>(
                 });
             }
         }
-        ticks.clear();
-        let failed = w.ticks(t, W::TICKS_PER_ROUND, &mut ticks);
-        checks.count(ticks.len() as u64, failed, || {
-            format!("{failed} ticks failed in round {round}")
-        });
         if round == 0 {
             for (r, times) in repeats.iter_mut().zip(&s.answers) {
                 if let Some(&once) = times.first() {
@@ -359,11 +318,8 @@ pub fn run_rounds<W: Workload>(
             }
         }
         if traced {
-            s.traced_ticks.extend_from_slice(&ticks);
             region_probe(t);
             w.probe(t);
-        } else {
-            s.ticks.extend_from_slice(&ticks);
         }
         round += 1;
     }
@@ -445,116 +401,6 @@ impl Host {
             l2_bytes: pg_parallel::cache_topology().l2_bytes,
             tile_bytes: pg_parallel::tile_bytes(),
         }
-    }
-}
-
-/// What one online row query computes.
-#[derive(Clone, Copy)]
-pub enum RowKind {
-    /// `|N_v ∩ N_u|̂` for every `u` in the row.
-    Estimate,
-    /// `Ĵ(N_v, N_u)` for every `u` in the row.
-    Jaccard,
-}
-
-/// One online query: sweeps `v` against every vertex of `row` through
-/// the store's resolved oracle and returns the clamped sum, accumulated
-/// in the order the triangle kernels use.
-pub struct RowQuery<'a> {
-    /// Query vertex.
-    pub v: u32,
-    /// Destinations to sweep against.
-    pub row: &'a [u32],
-    /// Reused row buffer.
-    pub buf: &'a mut Vec<f64>,
-    /// Estimate or Jaccard.
-    pub kind: RowKind,
-}
-
-impl OracleVisitor for RowQuery<'_> {
-    type Output = f64;
-    fn visit<O: IntersectionOracle>(self, o: &O) -> f64 {
-        match self.kind {
-            RowKind::Estimate => o.estimate_row(self.v, self.row, self.buf),
-            RowKind::Jaccard => o.jaccard_row(self.v, self.row, self.buf),
-        }
-        self.buf.iter().fold(0.0f64, |s, &e| s + e.max(0.0))
-    }
-}
-
-/// Online row queries against a representation's store: vertices drawn
-/// in proportion to their row length, cycled through, each answer
-/// checked bit for bit against the one recorded for it.
-pub struct QueryTicks {
-    queries: Vec<u32>,
-    expected: Vec<u64>,
-    next: usize,
-    buf: Vec<f64>,
-    kind: RowKind,
-}
-
-impl QueryTicks {
-    /// Query vertices over `0..n` weighted by `row_len`, drawn from `rng`.
-    pub fn new(n: usize, row_len: impl Fn(u32) -> usize, kind: RowKind, rng: &mut Rng) -> Self {
-        QueryTicks {
-            queries: weighted_vertices(n, row_len, QUERIES, rng),
-            expected: Vec::new(),
-            next: 0,
-            buf: Vec::new(),
-            kind,
-        }
-    }
-
-    fn query<'r>(
-        &mut self,
-        pg: &ProbGraphIn<'_>,
-        i: usize,
-        rows: impl Fn(u32) -> &'r [u32],
-    ) -> f64 {
-        let v = self.queries[i];
-        pg.with_oracle(RowQuery {
-            v,
-            row: rows(v),
-            buf: &mut self.buf,
-            kind: self.kind,
-        })
-    }
-
-    /// Answers every query on `pg`, untimed, and records the answers as
-    /// the ones later ticks must reproduce; returns `(vertex, answer)`.
-    pub fn record<'r>(
-        &mut self,
-        pg: &ProbGraphIn<'_>,
-        rows: impl Fn(u32) -> &'r [u32] + Copy,
-    ) -> Vec<(u32, f64)> {
-        let answers: Vec<(u32, f64)> = (0..self.queries.len())
-            .map(|i| (self.queries[i], self.query(pg, i, rows)))
-            .collect();
-        self.expected = answers.iter().map(|&(_, a)| a.to_bits()).collect();
-        answers
-    }
-
-    /// Times `n` queries on `pg` into `times`; returns the failures.
-    pub fn run<'r>(
-        &mut self,
-        pg: &ProbGraphIn<'_>,
-        rows: impl Fn(u32) -> &'r [u32] + Copy,
-        n: usize,
-        t: &mut Tracer,
-        times: &mut Vec<f64>,
-    ) -> u64 {
-        let mut failed = 0;
-        for _ in 0..n {
-            let i = self.next;
-            self.next = (self.next + 1) % self.queries.len();
-            let t0 = Instant::now();
-            let got = t.span(Layer::Query, crate::trace::NO_REP, |_| {
-                self.query(pg, i, rows)
-            });
-            times.push(t0.elapsed().as_secs_f64());
-            failed += u64::from(self.expected.get(i) != Some(&got.to_bits()));
-        }
-        failed
     }
 }
 

@@ -6,8 +6,8 @@
 //! for bf2; the exact baseline takes seconds.
 
 use crate::common::{
-    config, fingerprint, measure_setup, run_rounds, Checks, Counts, PlanProbe, QueryTicks, Rng,
-    RowKind, Samples, Workload, BF2, EXACT, QUERIES,
+    config, fingerprint, measure_setup, run_rounds, Checks, Counts, PlanProbe, Rng, Samples,
+    Workload, EXACT,
 };
 use crate::trace::{Layer, Tracer, NO_REP};
 use pg_graph::gen::RmatParams;
@@ -48,13 +48,11 @@ struct JpKron {
     g: CsrGraph,
     seed: u64,
     exact: Option<Clustering>,
-    queries: QueryTicks,
     counts: Counts,
 }
 
 impl Workload for JpKron {
     const EXACT_EVERY: usize = 2;
-    const TICKS_PER_ROUND: usize = QUERIES;
 
     fn reference(&mut self, item: u8, checks: &mut Checks) -> (u64, f64) {
         let edges = self.g.edge_list();
@@ -89,10 +87,6 @@ impl Workload for JpKron {
         self.counts.sketch_bytes[i] = pg.memory_bytes() as u64;
         // The Jarvis–Patrick kernel consults the planner on every call.
         self.counts.tiled[i] = u64::from(pg.with_oracle(PlanProbe(self.g.num_vertices())));
-        if item == BF2 {
-            let g = &self.g;
-            self.queries.record(&pg, |v| g.neighbors(v));
-        }
         (clustering_fingerprint(&c), err)
     }
 
@@ -116,14 +110,6 @@ impl Workload for JpKron {
         clustering_fingerprint(out)
     }
 
-    /// Queries a freshly built bf2 store each round, so the run samples
-    /// many memory placements of it rather than one.
-    fn ticks(&mut self, t: &mut Tracer, n: usize, times: &mut Vec<f64>) -> u64 {
-        let g = &self.g;
-        let pg = ProbGraph::build(g, &config(BF2));
-        self.queries.run(&pg, |v| g.neighbors(v), n, t, times)
-    }
-
     fn finish(&mut self, _checks: &mut Checks) -> Counts {
         std::mem::take(&mut self.counts)
     }
@@ -142,18 +128,10 @@ pub fn run(
             pg_graph::gen::kronecker_rmat(SCALE, EDGE_FACTOR, RMAT, seed)
         })
     });
-    let mut rng = Rng::new(seed, 1);
-    let queries = QueryTicks::new(
-        g.num_vertices(),
-        |v| g.degree(v),
-        RowKind::Jaccard,
-        &mut rng,
-    );
     let mut w = JpKron {
         g,
         seed,
         exact: None,
-        queries,
         counts: Counts::default(),
     };
     let samples = run_rounds(&mut w, t, checks, budget, trace);

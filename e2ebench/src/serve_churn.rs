@@ -1,16 +1,19 @@
-//! `serve-churn`: a closed loop of counting-Bloom serving ticks through
-//! `ShardedProbGraph`, each staging a batch of inserts and removals past
-//! the parallel-drain threshold, publishing an epoch, and querying one
-//! row of the just-published epoch (read-your-writes).
+//! `serve-churn`: serving windows through `ShardedProbGraph`, one per
+//! representation. Each window starts from a server loaded (untimed)
+//! with half of a Kronecker graph's edges and runs a closed loop of
+//! ticks: stage a batch of inserts — and, on the counting-Bloom server
+//! that serves the Bloom (b = 2) slot, as many removals — past the
+//! parallel-drain threshold, drain, publish an epoch, and query one row
+//! of the just-published epoch (read-your-writes). The timed answer is
+//! the whole window.
 //!
 //! Sketch work per tick is small, so the fixed costs dominate: the
-//! per-tick `pg_parallel` region and `publish_epoch`'s whole-store
-//! gather. The answers of this workload are local clustering
-//! coefficients over the graph the server was first loaded with.
+//! per-tick `pg_parallel` drain region and `publish_epoch`'s whole-store
+//! gather.
 
 use crate::common::{
-    config, fingerprint_f64s, measure_setup, per_vertex_error, run_rounds, Checks, Counts, Rng,
-    RowKind, RowQuery, Samples, Workload, BUDGET, EXACT,
+    config, fingerprint, measure_setup, per_vertex_error, run_rounds, Checks, Counts, Rng, Samples,
+    Workload, BF2, BUDGET, EXACT,
 };
 use crate::trace::{Layer, Tracer, NO_REP};
 use pg_graph::CsrGraph;
@@ -19,51 +22,92 @@ use probgraph::algorithms::clustering_coeff::{
 };
 use probgraph::intersect::intersect_card;
 use probgraph::serving::ShardedProbGraph;
-use probgraph::{Edge, PgConfig, ProbGraph, Representation, SketchStoreIn};
+use probgraph::{
+    Edge, IntersectionOracle, OracleVisitor, PgConfig, ProbGraph, Representation, SketchStoreIn,
+};
 use std::time::{Duration, Instant};
 
 const SCALE: u32 = 15;
 const EDGE_FACTOR: usize = 16;
 /// Ingest lanes; one per pool thread.
 const SHARDS: usize = 2;
-/// Edges inserted and removed per tick: 2 × 2 × 768 = 3072 staged
-/// `(set, element)` updates, past the 2048-update parallel-drain
-/// threshold.
-const INSERTS: usize = 768;
-const REMOVALS: usize = 768;
+/// Ticks in one window.
+const TICKS: usize = 128;
+/// Edges each tick inserts (2 × 1024 = 2048 staged `(set, element)`
+/// updates, the parallel-drain threshold) and, on the counting-Bloom
+/// server, removes.
+const BATCH: usize = 1024;
 /// Vertices whose exact coefficient is re-derived independently.
 const SAMPLED_VERTICES: usize = 1024;
 
-fn serving_config() -> PgConfig {
-    PgConfig::new(Representation::CountingBloom { b: 2 }, BUDGET)
+/// The serving configuration of `item`: the Bloom (b = 2) slot is served
+/// by a counting Bloom filter with b = 2, the representation that
+/// supports removals; the others by their own store, insert-only.
+fn serving_config(item: u8) -> PgConfig {
+    if item == BF2 {
+        PgConfig::new(Representation::CountingBloom { b: 2 }, BUDGET)
+    } else {
+        config(item)
+    }
 }
 
-struct ServeChurn {
-    seed: u64,
-    /// CSR bytes of the full edge universe: the serving budget's base.
-    base: usize,
-    /// The graph the server was first loaded with; answers run on it.
-    g0: CsrGraph,
-    exact_cc: Vec<f64>,
-    srv: ShardedProbGraph,
-    /// A serial `ProbGraph` fed the same batches in the same order: what
-    /// the serving layer promises its epochs equal, bit for bit.
-    mirror: ProbGraph,
-    present: Vec<Edge>,
-    absent: Vec<Edge>,
-    adj: Vec<Vec<u32>>,
-    rng: Rng,
-    ins: Vec<Edge>,
-    rem: Vec<Edge>,
-    query: u32,
-    row: Vec<u32>,
-    epoch: u64,
-    buf: Vec<f64>,
-    counts: Counts,
+/// One online query: `Σ_u |N_v ∩ N_u|̂` over the row of `v`, through the
+/// published epoch's resolved oracle.
+struct RowQuery<'a> {
+    v: u32,
+    row: &'a [u32],
+    buf: &'a mut Vec<f64>,
 }
 
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+impl OracleVisitor for RowQuery<'_> {
+    type Output = f64;
+    fn visit<O: IntersectionOracle>(self, o: &O) -> f64 {
+        o.estimate_row(self.v, self.row, self.buf);
+        self.buf.iter().fold(0.0f64, |s, &e| s + e.max(0.0))
+    }
+}
+
+/// What a window's ticks do to the graph, and what each tick queries.
+struct History {
+    /// Whether ticks remove edges (the counting-Bloom server).
+    removes: bool,
+    /// Per tick: the query vertex and its row after the tick.
+    queries: Vec<(u32, Vec<u32>)>,
+    /// The edges present after the last tick.
+    last: CsrGraph,
+}
+
+impl History {
+    fn new(g0: &CsrGraph, ins: &[Vec<Edge>], rem: &[Vec<Edge>], removes: bool) -> Self {
+        let n = g0.num_vertices();
+        let mut adj: Vec<Vec<u32>> = (0..n as u32).map(|v| g0.neighbors(v).to_vec()).collect();
+        let mut queries = Vec::with_capacity(ins.len());
+        for (k, batch) in ins.iter().enumerate() {
+            if removes {
+                for &(u, v) in &rem[k] {
+                    unlink(&mut adj, u, v);
+                }
+            }
+            for &(u, v) in batch {
+                link(&mut adj, u, v);
+            }
+            let q = batch[0].0;
+            queries.push((q, adj[q as usize].clone()));
+        }
+        let edges: Vec<Edge> = (0..n as u32)
+            .flat_map(|u| {
+                adj[u as usize]
+                    .iter()
+                    .filter(move |&&v| u < v)
+                    .map(move |&v| (u, v))
+            })
+            .collect();
+        History {
+            removes,
+            queries,
+            last: CsrGraph::from_edges(n, &edges),
+        }
+    }
 }
 
 fn unlink(adj: &mut [Vec<u32>], u: u32, v: u32) {
@@ -82,81 +126,66 @@ fn link(adj: &mut [Vec<u32>], u: u32, v: u32) {
     }
 }
 
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// What one window returns: each tick's query answer, and how many ticks
+/// did not publish the next epoch or did not yet show the query vertex's
+/// new degree.
+struct Window {
+    answers: Vec<f64>,
+    bad_ticks: u64,
+}
+
+struct ServeChurn {
+    seed: u64,
+    /// CSR bytes of the full edge universe: the serving budget's base.
+    base: usize,
+    /// The graph every window's server is loaded with.
+    g0: CsrGraph,
+    /// `g0`'s edges in load order.
+    load: Vec<Edge>,
+    /// Per tick: the edges it inserts and (counting Bloom only) removes.
+    ins: Vec<Vec<Edge>>,
+    rem: Vec<Vec<Edge>>,
+    insert_only: History,
+    churn: History,
+    /// The loaded server the next window runs on, and its epoch.
+    srv: Option<(ShardedProbGraph, u64)>,
+    buf: Vec<f64>,
+    /// Seconds of the counting-Bloom ticks not yet taken by the runner.
+    tick_times: Vec<f64>,
+    counts: Counts,
+}
+
 impl ServeChurn {
-    /// Draws the next tick's batch and updates the benchmark's own copy
-    /// of the adjacency, so the query row is known before timing starts.
-    fn next_batch(&mut self) {
-        self.rem.clear();
-        for _ in 0..REMOVALS {
-            let i = self.rng.below(self.present.len());
-            self.rem.push(self.present.swap_remove(i));
-        }
-        self.ins.clear();
-        for _ in 0..INSERTS {
-            let i = self.rng.below(self.absent.len());
-            self.ins.push(self.absent.swap_remove(i));
-        }
-        self.absent.extend_from_slice(&self.rem);
-        self.present.extend_from_slice(&self.ins);
-        for &(u, v) in &self.rem {
-            unlink(&mut self.adj, u, v);
-        }
-        for &(u, v) in &self.ins {
-            link(&mut self.adj, u, v);
-        }
-        self.mirror.apply_batch(&self.ins);
-        self.mirror.remove_batch(&self.rem);
-        self.query = self.ins[0].0;
-        self.row.clear();
-        self.row.extend_from_slice(&self.adj[self.query as usize]);
+    /// A fresh server of `item`'s store, loaded with `g0` and published.
+    fn load(&self, item: u8) -> (ShardedProbGraph, u64) {
+        let n = self.g0.num_vertices();
+        let mut srv = ShardedProbGraph::with_shards(n, self.base, &serving_config(item), SHARDS);
+        srv.apply_batch(&self.load);
+        let epoch = srv.publish_epoch();
+        (srv, epoch)
     }
 
-    /// One timed tick: stage, drain, publish, query the new epoch.
-    /// Returns the new epoch and the query's answer.
-    fn tick(&mut self, t: &mut Tracer) -> (u64, f64) {
-        let ServeChurn {
-            srv,
-            ins,
-            rem,
-            query,
-            row,
-            buf,
-            ..
-        } = self;
-        t.span(Layer::Tick, NO_REP, |t| {
-            t.span(Layer::Stage, NO_REP, |_| {
-                srv.stage_batch(ins);
-                srv.stage_removals(rem);
-            });
-            t.span(Layer::Drain, NO_REP, |_| srv.apply_pending());
-            let epoch = t.span(Layer::Publish, NO_REP, |_| srv.publish_epoch());
-            let q = RowQuery {
-                v: *query,
-                row,
-                buf,
-                kind: RowKind::Estimate,
-            };
-            (
-                epoch,
-                t.span(Layer::Query, NO_REP, |_| srv.query_with_oracle(q)),
-            )
-        })
-    }
-
-    /// Whether a tick published the next epoch and its answer is usable,
-    /// and — read-your-writes — whether that epoch already carries the
-    /// query vertex's new degree.
-    fn verify(&mut self, epoch: u64, got: f64) -> bool {
-        let visible = self.srv.snapshot().set_size(self.query as usize) == self.row.len();
-        let ok = epoch == self.epoch + 1 && visible && got.is_finite();
-        self.epoch = epoch;
-        ok
+    /// The serial `ProbGraph` stream of the load and a window's batches:
+    /// what the serving layer promises its epochs equal, bit for bit.
+    fn serial(&self, item: u8) -> ProbGraph {
+        let n = self.g0.num_vertices();
+        let mut pg = ProbGraph::stream_from(n, self.base, &serving_config(item), &self.load);
+        for (k, batch) in self.ins.iter().enumerate() {
+            if item == BF2 {
+                pg.remove_batch(&self.rem[k]);
+            }
+            pg.apply_batch(batch);
+        }
+        pg
     }
 }
 
 impl Workload for ServeChurn {
     const EXACT_EVERY: usize = 1;
-    const TICKS_PER_ROUND: usize = 1000;
 
     fn reference(&mut self, item: u8, checks: &mut Checks) -> (u64, f64) {
         let g = &self.g0;
@@ -180,80 +209,54 @@ impl Workload for ServeChurn {
                     )
                 });
             }
-            let fp = fingerprint_f64s(&cc);
-            self.exact_cc = cc;
+            let fp = Self::fingerprint(&Window {
+                answers: cc,
+                bad_ticks: 0,
+            });
             return (fp, 0.0);
         }
-        let pg = ProbGraph::build(g, &config(item));
-        let cc = local_clustering_pg(g, &pg);
-        self.counts.sketch_bytes[item as usize] = pg.memory_bytes() as u64;
-        (fingerprint_f64s(&cc), per_vertex_error(&cc, &self.exact_cc))
-    }
-
-    type Output = Vec<f64>;
-
-    fn answer(&mut self, item: u8, t: &mut Tracer) -> Vec<f64> {
-        let g = &self.g0;
-        if item == EXACT {
-            t.span(Layer::ExactSweep, item, |_| local_clustering(g))
+        self.prepare(item);
+        let window = self.answer(item, &mut Tracer::new());
+        checks.check(window.bad_ticks == 0, || {
+            format!(
+                "slot {item}: {} ticks did not publish the next epoch or missed their writes",
+                window.bad_ticks
+            )
+        });
+        let (srv, _) = self.srv.take().expect("prepared");
+        // The final epoch must answer exactly like the serial stream of the
+        // same batches, and carry the surviving edges' set sizes. It must
+        // also answer like a fresh build over those edges while no counter
+        // has saturated: a saturated 4-bit counter no longer counts
+        // removals, so its bit can outlive its elements. That divergence is
+        // reported as `stale_rows`.
+        let h = if item == BF2 {
+            &self.churn
         } else {
-            let pg = t.span(Layer::Build, item, |_| ProbGraph::build(g, &config(item)));
-            let cc = t.span(Layer::Sweep, item, |_| local_clustering_pg(g, &pg));
-            t.span(Layer::Free, item, |_| drop(pg));
-            cc
-        }
-    }
-
-    fn fingerprint(out: &Vec<f64>) -> u64 {
-        fingerprint_f64s(out)
-    }
-
-    /// A closed loop: each tick's batch is drawn (untimed) only after the
-    /// previous tick has returned.
-    fn ticks(&mut self, t: &mut Tracer, n: usize, times: &mut Vec<f64>) -> u64 {
-        let mut failed = 0;
-        for _ in 0..n {
-            self.next_batch();
-            let t0 = Instant::now();
-            let (epoch, got) = self.tick(t);
-            times.push(t0.elapsed().as_secs_f64());
-            failed += u64::from(!self.verify(epoch, got));
-        }
-        failed
-    }
-
-    fn finish(&mut self, checks: &mut Checks) -> Counts {
-        // The final epoch must answer exactly like the serial stream of
-        // the same batches. Like a fresh build over the surviving edges it
-        // must answer only while no counter has saturated: a saturated
-        // 4-bit counter no longer counts removals, so its bit can outlive
-        // its elements. That divergence is reported as `stale_rows`.
-        let n = self.g0.num_vertices();
-        let gf = CsrGraph::from_edges(n, &self.present);
-        let fresh =
-            ProbGraph::build_over(n, self.base, |v| gf.neighbors(v as u32), &serving_config());
-        let snap = self.srv.snapshot();
-        let served = triangles_per_vertex_pg(&gf, &snap);
-        let serial = triangles_per_vertex_pg(&gf, &self.mirror);
-        let rebuilt = triangles_per_vertex_pg(&gf, &fresh);
+            &self.insert_only
+        };
+        let gf = &h.last;
+        let n = gf.num_vertices();
+        let snap = srv.snapshot();
+        let served = triangles_per_vertex_pg(gf, &snap);
+        let serial = self.serial(item);
         checks.check(
-            snap.sizes() == self.mirror.sizes() && bits_equal(&served, &serial),
-            || {
-                format!(
-                    "epoch {} answers differ from the serial stream",
-                    snap.epoch()
-                )
-            },
+            snap.sizes() == serial.sizes()
+                && bits_equal(&served, &triangles_per_vertex_pg(gf, &serial)),
+            || format!("slot {item}: final epoch differs from the serial stream"),
+        );
+        let fresh = ProbGraph::build_over(
+            n,
+            self.base,
+            |v| gf.neighbors(v as u32),
+            &serving_config(item),
         );
         checks.check(snap.sizes() == fresh.sizes(), || {
-            format!(
-                "epoch {} set sizes differ from the surviving edges",
-                snap.epoch()
-            )
+            format!("slot {item}: final set sizes differ from the surviving edges")
         });
         let stale = served
             .iter()
-            .zip(&rebuilt)
+            .zip(&triangles_per_vertex_pg(gf, &fresh))
             .filter(|(a, b)| a.to_bits() != b.to_bits())
             .count();
         let saturated = match snap.store() {
@@ -262,17 +265,89 @@ impl Workload for ServeChurn {
         };
         if saturated == 0 {
             checks.check(stale == 0, || {
-                format!(
-                    "epoch {}: {stale} rows differ from a fresh build",
-                    snap.epoch()
-                )
+                format!("slot {item}: {stale} rows differ from a fresh build")
             });
         }
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.publish_bytes = snap.memory_bytes() as u64;
-        counts.cbf_saturated = saturated as u64;
-        counts.stale_rows = stale as u64;
-        counts
+        let err = per_vertex_error(&local_clustering_pg(gf, &snap), &local_clustering(gf));
+        let i = item as usize;
+        self.counts.sketch_bytes[i] = snap.memory_bytes() as u64;
+        if h.removes {
+            self.counts.publish_bytes = snap.memory_bytes() as u64;
+            self.counts.cbf_saturated = saturated as u64;
+            self.counts.stale_rows = stale as u64;
+        }
+        (Self::fingerprint(&window), err)
+    }
+
+    type Output = Window;
+
+    fn prepare(&mut self, item: u8) {
+        if item != EXACT {
+            drop(self.srv.take());
+            self.srv = Some(self.load(item));
+        }
+    }
+
+    fn answer(&mut self, item: u8, t: &mut Tracer) -> Window {
+        if item == EXACT {
+            let g = &self.g0;
+            let cc = t.span(Layer::ExactSweep, item, |_| local_clustering(g));
+            return Window {
+                answers: cc,
+                bad_ticks: 0,
+            };
+        }
+        let history = if item == BF2 {
+            &self.churn
+        } else {
+            &self.insert_only
+        };
+        let (srv, epoch) = self.srv.as_mut().expect("prepared");
+        let buf = &mut self.buf;
+        let mut out = Window {
+            answers: Vec::with_capacity(TICKS),
+            bad_ticks: 0,
+        };
+        for (k, (v, row)) in history.queries.iter().enumerate() {
+            let t0 = Instant::now();
+            let (published, got) = t.span(Layer::Tick, item, |t| {
+                t.span(Layer::Stage, item, |_| {
+                    if history.removes {
+                        srv.stage_removals(&self.rem[k]);
+                    }
+                    srv.stage_batch(&self.ins[k]);
+                });
+                t.span(Layer::Drain, item, |_| srv.apply_pending());
+                let e = t.span(Layer::Publish, item, |_| srv.publish_epoch());
+                let q = RowQuery { v: *v, row, buf };
+                (e, t.span(Layer::Query, item, |_| srv.query_with_oracle(q)))
+            });
+            if history.removes {
+                self.tick_times.push(t0.elapsed().as_secs_f64());
+            }
+            let visible = srv.snapshot().set_size(*v as usize) == row.len();
+            out.bad_ticks += u64::from(published != *epoch + 1 || !visible);
+            *epoch = published;
+            out.answers.push(got);
+        }
+        out
+    }
+
+    fn fingerprint(out: &Window) -> u64 {
+        fingerprint(
+            out.answers
+                .iter()
+                .map(|a| a.to_bits())
+                .chain([out.bad_ticks]),
+        )
+    }
+
+    fn take_ticks(&mut self, times: &mut Vec<f64>) {
+        times.append(&mut self.tick_times);
+    }
+
+    fn finish(&mut self, _checks: &mut Checks) -> Counts {
+        std::mem::take(&mut self.counts)
     }
 }
 
@@ -284,48 +359,49 @@ pub fn run(
     t: &mut Tracer,
     checks: &mut Checks,
 ) -> (Vec<f64>, Samples, Counts) {
-    let ((g, mut srv), setup) = measure_setup(t, |t| {
+    let ((g, _), setup) = measure_setup(t, |t| {
         let g = t.span(Layer::Gen, NO_REP, |_| {
             pg_graph::gen::kronecker(SCALE, EDGE_FACTOR, seed)
         });
         let n = g.num_vertices();
         let srv = t.span(Layer::ShardInit, NO_REP, |_| {
-            ShardedProbGraph::with_shards(n, g.memory_bytes(), &serving_config(), SHARDS)
+            ShardedProbGraph::with_shards(n, g.memory_bytes(), &serving_config(BF2), SHARDS)
         });
         (g, srv)
     });
-    // Half of the edges, in seeded random order, form the initial load;
-    // the other half is the pool ticks insert from.
+    // Half of the edges, in seeded random order, form the load; ticks
+    // insert from the other half and remove from the load.
     let mut rng = Rng::new(seed, 1);
     let mut edges = g.edge_list();
     for i in (1..edges.len()).rev() {
         edges.swap(i, rng.below(i + 1));
     }
     let absent = edges.split_off(edges.len() / 2);
-    let present = edges;
+    let load = edges;
+    assert!(
+        absent.len() >= TICKS * BATCH && load.len() >= TICKS * BATCH,
+        "graph too small for {TICKS} ticks of {BATCH} edges"
+    );
+    let ins: Vec<Vec<Edge>> = absent
+        .chunks(BATCH)
+        .take(TICKS)
+        .map(<[_]>::to_vec)
+        .collect();
+    let rem: Vec<Vec<Edge>> = load.chunks(BATCH).take(TICKS).map(<[_]>::to_vec).collect();
     let n = g.num_vertices();
-    let g0 = CsrGraph::from_edges(n, &present);
-    let adj = (0..n as u32).map(|v| g0.neighbors(v).to_vec()).collect();
-    srv.apply_batch(&present);
-    let epoch = srv.publish_epoch();
-    let mirror = ProbGraph::stream_from(n, g.memory_bytes(), &serving_config(), &present);
+    let g0 = CsrGraph::from_edges(n, &load);
     let mut w = ServeChurn {
         seed,
         base: g.memory_bytes(),
+        insert_only: History::new(&g0, &ins, &rem, false),
+        churn: History::new(&g0, &ins, &rem, true),
         g0,
-        exact_cc: Vec::new(),
-        srv,
-        mirror,
-        present,
-        absent,
-        adj,
-        rng,
-        ins: Vec::new(),
-        rem: Vec::new(),
-        query: 0,
-        row: Vec::new(),
-        epoch,
+        load,
+        ins,
+        rem,
+        srv: None,
         buf: Vec::new(),
+        tick_times: Vec::new(),
         counts: Counts::default(),
     };
     drop(g);

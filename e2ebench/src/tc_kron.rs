@@ -6,8 +6,8 @@
 //! multi-lane sweep.
 
 use crate::common::{
-    config, mean_relative_error, measure_setup, run_rounds, same_sum, Checks, Counts, QueryTicks,
-    Rng, RowKind, Samples, Workload, BF2, EXACT, QUERIES,
+    config, mean_relative_error, measure_setup, run_rounds, same_sum, Checks, Counts, Samples,
+    Workload, EXACT,
 };
 use crate::trace::{Layer, Tracer, NO_REP};
 use pg_graph::{CsrGraph, OrientedDag};
@@ -42,7 +42,6 @@ struct TcKron {
     g: CsrGraph,
     dag: OrientedDag,
     exact_rows: Vec<f64>,
-    queries: QueryTicks,
     counts: Counts,
 }
 
@@ -56,7 +55,6 @@ impl TcKron {
 
 impl Workload for TcKron {
     const EXACT_EVERY: usize = 1;
-    const TICKS_PER_ROUND: usize = QUERIES;
 
     fn reference(&mut self, item: u8, checks: &mut Checks) -> (u64, f64) {
         if item == EXACT {
@@ -76,14 +74,6 @@ impl Workload for TcKron {
         });
         let err = mean_relative_error(&rows, &self.exact_rows);
         self.counts.sketch_bytes[item as usize] = pg.memory_bytes() as u64;
-        if item == BF2 {
-            let dag = &self.dag;
-            for (v, got) in self.queries.record(&pg, |v| dag.neighbors_plus(v)) {
-                checks.check(got.to_bits() == rows[v as usize].to_bits(), || {
-                    format!("bf2 row query of {v} differs from its per-vertex row")
-                });
-            }
-        }
         (est.to_bits(), err)
     }
 
@@ -121,15 +111,6 @@ impl Workload for TcKron {
         same_sum(f64::from_bits(want), f64::from_bits(got), self.summands())
     }
 
-    /// Queries a freshly built bf2 store each round, so the run samples
-    /// many memory placements of it rather than one.
-    fn ticks(&mut self, t: &mut Tracer, n: usize, times: &mut Vec<f64>) -> u64 {
-        let dag = &self.dag;
-        let pg = ProbGraph::build_dag(dag, self.g.memory_bytes(), &config(BF2));
-        self.queries
-            .run(&pg, |v| dag.neighbors_plus(v), n, t, times)
-    }
-
     fn finish(&mut self, _checks: &mut Checks) -> Counts {
         // The triangle kernel never consults the tile planner.
         std::mem::take(&mut self.counts)
@@ -151,15 +132,11 @@ pub fn run(
         let dag = t.span(Layer::Orient, NO_REP, |_| pg_graph::orient_by_degree(&g));
         (g, dag)
     });
-    let mut rng = Rng::new(seed, 1);
-    let n = dag.num_vertices();
-    let queries = QueryTicks::new(n, |v| dag.out_degree(v), RowKind::Estimate, &mut rng);
     let exact_rows = exact_dag_rows(&dag);
     let mut w = TcKron {
         g,
         dag,
         exact_rows,
-        queries,
         counts: Counts::default(),
     };
     let samples = run_rounds(&mut w, t, checks, budget, trace);
