@@ -276,6 +276,7 @@ pub fn run_rounds<W: Workload>(
         expected[item as usize] = fp;
         s.errs[item as usize] = err;
     }
+    // Ticks of the reference pass are warm-up.
     w.take_ticks(&mut Vec::new());
     let start = Instant::now();
     let mut round = 0usize;

@@ -30,10 +30,12 @@ const GAMMA: f64 = 2.5;
 /// Parts (worker processes in the exchange).
 const PARTS: usize = 2;
 
-/// The exchange's triangle total over a store: per-part partials, each
-/// accumulated over its vertices in ascending order, summed in part
-/// order — the accumulation of `single_process_partials` and of the
-/// exchange's workers, so the total is bit-equal to theirs.
+/// The exchange's triangle total over a store. Rows are folded across
+/// the pool, as the parts' workers run side by side, each exactly as a
+/// worker folds it; each part's partial then adds its vertices' rows in
+/// ascending order and the partials are summed in part order — the
+/// accumulation of `single_process_partials` and of the exchange's
+/// workers, so the total is bit-equal to theirs.
 struct PartialSum<'a> {
     dag: &'a OrientedDag,
     parts: &'a [u32],
@@ -42,11 +44,14 @@ struct PartialSum<'a> {
 impl OracleVisitor for PartialSum<'_> {
     type Output = f64;
     fn visit<O: IntersectionOracle>(self, o: &O) -> f64 {
+        let dag = self.dag;
+        let rows = pg_parallel::parallel_init_scratch(dag.num_vertices(), Vec::new, |row, v| {
+            o.estimate_row(v as u32, dag.neighbors_plus(v as u32), row);
+            row.iter().fold(0.0f64, |s, &e| s + e.max(0.0))
+        });
         let mut partials = [0.0f64; PARTS];
-        let mut row = Vec::new();
-        for v in 0..self.dag.num_vertices() {
-            o.estimate_row(v as u32, self.dag.neighbors_plus(v as u32), &mut row);
-            partials[self.parts[v] as usize] += row.iter().fold(0.0f64, |s, &e| s + e.max(0.0));
+        for (&part, row) in self.parts.iter().zip(rows) {
+            partials[part as usize] += row;
         }
         partials.iter().sum()
     }
