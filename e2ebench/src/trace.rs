@@ -35,7 +35,7 @@ pub enum Layer {
     ExactSweep,
     /// One forked `run_exchange` round (`probgraph::exchange`).
     Exchange,
-    /// One online query, or one serving tick.
+    /// One serving tick: stage, drain, publish, query.
     Tick,
     /// `ShardedProbGraph::stage_batch` + `stage_removals`.
     Stage,
@@ -43,7 +43,7 @@ pub enum Layer {
     Drain,
     /// `ShardedProbGraph::publish_epoch` (the whole-store gather).
     Publish,
-    /// One row query against a published or loaded store.
+    /// One row query against the just-published epoch.
     Query,
     /// `ProbGraph::snapshot_to_bytes`.
     Encode,
