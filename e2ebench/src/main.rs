@@ -107,7 +107,12 @@ fn main() {
             .chain(&samples.traced_answers)
             .map(Vec::len)
             .collect::<Vec<_>>(),
-        samples.ticks.len() + samples.traced_ticks.len()
+        samples
+            .ticks
+            .iter()
+            .chain(&samples.traced_ticks)
+            .map(Vec::len)
+            .sum::<usize>()
     );
 
     let mut correct = true;
@@ -180,8 +185,9 @@ fn per_layer(t: &Tracer, s: &Samples, c: &Counts) -> (Vec<Metric>, f64) {
         }
     }
     // Tick latency from the untraced rounds' counting-Bloom ticks.
-    m.push(metric("tick_p50_us", quantile(&s.ticks, 0.50) * 1e6, "us"));
-    m.push(metric("tick_p99_us", quantile(&s.ticks, 0.99) * 1e6, "us"));
+    let ticks = &s.ticks[common::BF2 as usize];
+    m.push(metric("tick_p50_us", quantile(ticks, 0.50) * 1e6, "us"));
+    m.push(metric("tick_p99_us", quantile(ticks, 0.99) * 1e6, "us"));
     m.push(metric(
         "region_us",
         self_median(Layer::Region, NO_REP) * 1e6,
@@ -229,7 +235,7 @@ fn per_layer(t: &Tracer, s: &Samples, c: &Counts) -> (Vec<Metric>, f64) {
     ));
     m.push(metric(
         "trace_overhead.tick",
-        overhead(median(&s.traced_ticks), median(&s.ticks)),
+        overhead(median(&s.traced_ticks[common::BF2 as usize]), median(ticks)),
         "ratio",
     ));
 
