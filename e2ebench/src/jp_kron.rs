@@ -52,7 +52,7 @@ struct JpKron {
 }
 
 impl Workload for JpKron {
-    const EXACT_EVERY: usize = 2;
+    const EXACT_EVERY: usize = 4;
 
     fn reference(&mut self, item: u8, checks: &mut Checks) -> (u64, f64) {
         let edges = self.g.edge_list();
